@@ -1,0 +1,13 @@
+#include "textflag.h"
+
+// func pause()
+TEXT ·pause(SB), NOSPLIT, $0-0
+	PAUSE
+	PAUSE
+	PAUSE
+	PAUSE
+	PAUSE
+	PAUSE
+	PAUSE
+	PAUSE
+	RET
