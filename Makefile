@@ -3,7 +3,7 @@ FUZZTIME ?= 10s
 BENCHTIME ?= 1x
 BENCHOUT ?= BENCH_10.json
 
-.PHONY: all build test check fmt vet lint race fuzz vuln bench cover
+.PHONY: all build test check fmt vet lint race fuzz vuln bench cover perfbench-check
 
 all: build
 
@@ -15,9 +15,10 @@ test:
 
 ## check is the CI gate: formatting, go vet, the domain lint suite,
 ## the full test suite under the race detector, short fuzz runs over
-## every parser that consumes untrusted input, and a known-vulnerability
-## scan when the environment supports one.
-check: fmt vet lint race fuzz vuln
+## every parser that consumes untrusted input, vet and tests of the
+## nested benchmark module, and a known-vulnerability scan when the
+## environment supports one.
+check: fmt vet lint race fuzz perfbench-check vuln
 
 fmt:
 	@unformatted=$$(gofmt -l .); \
@@ -61,12 +62,24 @@ bench:
 		-pkgs .,./internal/lint,./internal/lint/callgraph,./internal/lint/summary,./internal/stream \
 		-out $(BENCHOUT)
 
-# Ten-second fuzz passes over the three untrusted-input parsers:
-# market page scraping, dumpsys battery output, and PLT trace files.
+# Ten-second fuzz passes over the four untrusted-input parsers:
+# market page scraping, dumpsys battery output, PLT trace files, and
+# the locwatchd ingest body. Ingest bodies are long, and minimizing
+# every new input to its shortest form took nearly all of the ten
+# seconds, so that pass caps minimization at 100 runs an input.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzExtractManifest -fuzztime $(FUZZTIME) ./internal/market
 	$(GO) test -run '^$$' -fuzz FuzzParseDumpsys -fuzztime $(FUZZTIME) ./internal/android
 	$(GO) test -run '^$$' -fuzz FuzzRead -fuzztime $(FUZZTIME) ./internal/trace/plt
+	$(GO) test -run '^$$' -fuzz FuzzIngestBody -fuzztime $(FUZZTIME) -fuzzminimizetime 100x ./internal/stream
+
+# The benchmark lives in its own module (perfbench/go.mod, replacing
+# locwatch with ../), which `go build ./...` and `go test ./...` stop
+# short of. Vet and test it with the settings perfbench/run.sh uses,
+# offline, so an API change it depends on fails here.
+perfbench-check:
+	GOFLAGS=-mod=mod GOPROXY=off $(GO) -C perfbench vet ./...
+	GOFLAGS=-mod=mod GOPROXY=off $(GO) -C perfbench test ./...
 
 # Known-vulnerability scan. govulncheck needs both its binary and the
 # database at https://vuln.go.dev, so environments missing either skip

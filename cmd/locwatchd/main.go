@@ -13,12 +13,16 @@
 //
 // API:
 //
-//	POST   /v1/users/{id}/fixes  {"fixes":[{"lat":..,"lon":..,"t":"RFC3339"}]}
+//	POST   /v1/users/{id}/fixes  {"fixes":[{"lat":..,"lon":..,"t":".."}]}
 //	GET    /v1/users/{id}/risk   live risk snapshot (JSON)
 //	DELETE /v1/users/{id}        evict (park) the user's buffers
 //	GET    /v1/users             known user ids
 //	GET    /healthz              liveness
 //	GET    /metrics              Prometheus text exposition
+//
+// Each fix's t is Go's JSON form of time.Time: an RFC 3339 string with
+// optional fractional seconds and a Z or ±hh:mm zone, such as
+// "2026-03-02T08:00:00Z" or "2026-03-02T08:00:00.5+08:00".
 //
 // -refs builds per-user reference profiles from the simulated world at
 // startup so His_bin and the identification adversary carry signal;

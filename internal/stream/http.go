@@ -5,14 +5,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"time"
 
-	"locwatch/internal/geo"
 	"locwatch/internal/obs"
 	"locwatch/internal/privlog"
-	"locwatch/internal/trace"
 )
 
 // Fix is the wire form of one GPS fix. Coordinates exist on the wire
@@ -42,9 +39,20 @@ type errorBody struct {
 	Error string `json:"error"`
 }
 
-// maxBodyBytes bounds an ingest body: the wire form of a fix is well
-// under 96 bytes, so MaxBatch fixes fit with generous slack.
+// fixWireBytes is the per-fix share of bodyLimit. A fix whose
+// coordinates use their full integer width (|lat| ≥ 10, |lon| ≥ 100)
+// is at most 95 bytes on the wire even with 17 significant digits and
+// a nanosecond, zoned t,
+//
+//	{"lat":-27.255590020326423,"lon":-115.10215709575122,"t":"2026-03-02T08:00:00.123456789-09:30"}
+//
+// so MaxBatch of them, commas included, fit. Coordinates nearer zero
+// print leading zeros (up to 25 bytes each), and a full MaxBatch of
+// such fixes can exceed the limit and draw a 413.
 const fixWireBytes = 96
+
+// bodyLimit is the most of an ingest body the handler reads.
+func bodyLimit(maxBatch int) int64 { return int64(maxBatch+1)*fixWireBytes + 1024 }
 
 // NewMux routes the service API onto the engine:
 //
@@ -86,9 +94,14 @@ func (a *api) logf(c privlog.Category, format string, args ...any) {
 
 func (a *api) ingest(w http.ResponseWriter, r *http.Request) {
 	userID := r.PathValue("id")
-	body := http.MaxBytesReader(w, r.Body, int64(a.eng.cfg.MaxBatch+1)*fixWireBytes+1024)
-	var req IngestRequest
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
+	buf := ingestPool.Get().(*ingestBuf)
+	defer ingestPool.Put(buf)
+	buf.body.Reset()
+	_, readErr := buf.body.ReadFrom(http.MaxBytesReader(w, r.Body, bodyLimit(a.eng.cfg.MaxBatch)))
+	var err error
+	buf.pts, err = decodeFixes(buf.pts, buf.body.Bytes(), readErr)
+	pts := buf.pts
+	if err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
 			writeJSON(w, http.StatusRequestEntityTooLarge, errorBody{Error: "request body too large"})
@@ -98,17 +111,12 @@ func (a *api) ingest(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: "malformed JSON body"})
 		return
 	}
-	// Drain any trailing bytes so keep-alive connections stay reusable.
-	_, _ = io.Copy(io.Discard, body) // best-effort drain
-	pts := make([]trace.Point, len(req.Fixes))
-	for i, f := range req.Fixes {
-		p := geo.LatLon{Lat: f.Lat, Lon: f.Lon}
-		if !p.Valid() {
+	for i := range pts {
+		if !pts[i].Pos.Valid() {
 			writeJSON(w, http.StatusBadRequest,
 				errorBody{Error: fmt.Sprintf("fix %d: coordinates out of range", i)})
 			return
 		}
-		pts[i] = trace.Point{Pos: p, T: f.T}
 	}
 	if err := a.eng.Ingest(r.Context(), userID, pts); err != nil {
 		switch {
